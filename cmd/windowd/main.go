@@ -4,20 +4,19 @@
 // applied online to a live arrival stream instead of a batch simulation
 // horizon.
 //
-// Arrivals are ingested over HTTP (newline-delimited JSON on /ingest,
-// big-endian uint32 batch counts on /ingest.bin — the format cmd/windowload
-// speaks), over the binary TCP plane (-listen-tcp: internal/wire framed
-// counts decoded straight into the owed-arrival ledger, an order of
-// magnitude past the HTTP path), or generated internally with
-// -synthetic.  A single pump
-// goroutine owns the incremental engine (sim.Stepper): each iteration it
-// absorbs the ingest counter, advances one decision epoch of virtual
-// channel time, and releases absorbed arrivals into the engine at the
-// configured rate λ′ = ρ′/(M·τ), so under saturation the materialized
-// arrival process is Poisson(λ′) in channel time — the same law the batch
-// simulator draws, which is what makes the live shed fraction comparable
-// to the batch element-(4) discard rate.  The ingest→schedule hot path is
-// allocation-free at steady state.
+// Arrivals are ingested in one of two formats — newline-delimited JSON
+// on POST /ingest, or internal/wire framed counts on the binary TCP plane
+// (-listen-tcp), decoded straight into the owed-arrival ledger an order
+// of magnitude past the HTTP path — or generated internally with
+// -synthetic.  A single pump goroutine owns the incremental engine
+// (sim.Stepper): each iteration it absorbs the ingest counter, advances
+// one decision epoch of virtual channel time, and releases absorbed
+// arrivals into the engine at the configured rate λ′ = ρ′/(M·τ), so
+// under saturation the materialized arrival process is Poisson(λ′) in
+// channel time — the same law the batch simulator draws, which is what
+// makes the live shed fraction comparable to the batch element-(4)
+// discard rate.  The ingest→schedule hot path is allocation-free at
+// steady state.
 //
 // Observability: /debug/vars exposes the shared slot-level collector
 // ("windowd") and the pump status ("windowd_engine") as expvar JSON;
@@ -63,7 +62,7 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr, nil)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
 	switch {
 	case err == nil:
 	case errors.Is(err, flag.ErrHelp):
@@ -84,9 +83,8 @@ type usageError struct{ err error }
 func (u usageError) Error() string { return u.err.Error() }
 func (u usageError) Unwrap() error { return u.err }
 
-// run is the whole command behind a testable seam.  ready, when non-nil,
-// receives the bound listen address once the server is accepting.
-func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
+// run is the whole command behind a testable seam.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("windowd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	listen := fs.String("listen", ":8343", "HTTP listen address")
@@ -125,6 +123,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		return usageError{err}
 	}
 
+	// Catch SIGTERM before the first listener exists: a signal that lands
+	// once the address is announced must drain, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	s, err := newServer(o)
 	if err != nil {
 		return usageError{err} // a bad protocol/constraint is a usage error
@@ -144,12 +146,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) error {
 		s.startTCP(tln)
 		fmt.Fprintf(stderr, "windowd: tcp ingest on %s\n", tln.Addr())
 	}
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
 	httpSrv := &http.Server{Handler: s.routes()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -9,7 +11,10 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -17,6 +22,68 @@ import (
 	"windowctl/internal/metrics"
 	"windowctl/internal/rngutil"
 )
+
+// TestMain lets a test re-exec this binary as windowd itself:
+// "<test binary> windowd ARGS..." runs main with ARGS.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "windowd" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// windowdProc is a windowd subprocess whose stderr has been read up to
+// and including the "listening on" announcement.
+type windowdProc struct {
+	cmd    *exec.Cmd
+	addr   string
+	stderr *bufio.Reader
+	stdout bytes.Buffer
+}
+
+// startWindowd re-execs the test binary as windowd on an ephemeral
+// loopback port and returns as soon as it announces its address.
+func startWindowd(t *testing.T, args ...string) *windowdProc {
+	t.Helper()
+	p := &windowdProc{}
+	p.cmd = exec.Command(os.Args[0], append([]string{"windowd", "-listen", "127.0.0.1:0"}, args...)...)
+	p.cmd.Stdout = &p.stdout
+	pipe, err := p.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.cmd.Process.Kill() })
+	p.stderr = bufio.NewReader(pipe)
+	line, err := p.stderr.ReadString('\n')
+	if err != nil || !strings.Contains(line, "listening on") {
+		t.Fatalf("windowd never announced its address: %q, %v", line, err)
+	}
+	if f := strings.Fields(line); len(f) >= 4 {
+		p.addr = f[3]
+	}
+	return p
+}
+
+// stop sends SIGTERM and requires a drain to a clean exit 0 with the
+// conservation marker on stdout.
+func (p *windowdProc) stop(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(p.stderr)
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("windowd exited uncleanly after SIGTERM: %v\nstderr: %s\nstdout: %s", err, rest, p.stdout.String())
+	}
+	if !strings.Contains(p.stdout.String(), "conservation invariants verified") {
+		t.Fatalf("missing drain verification marker in:\n%s", p.stdout.String())
+	}
+}
 
 func testOptions() options {
 	return options{
@@ -254,6 +321,12 @@ func TestReconfigureCarriesBacklog(t *testing.T) {
 	if p.st.Backlog() != 0 {
 		t.Errorf("carried backlog never drained: %d left", p.st.Backlog())
 	}
+	// The outgoing engine's Finish booked its unmaterialized arrivals
+	// after the incoming engine was built; the incoming engine's books
+	// must still balance.
+	if _, err := p.st.Finish(); err != nil {
+		t.Errorf("incoming engine after the swap: %v", err)
+	}
 }
 
 // drain must keep re-absorbing the ingest counter: a request that passes
@@ -302,42 +375,44 @@ func TestServerExtremeConstraintNoPanic(t *testing.T) {
 	}
 }
 
-// The binary ingest format: big-endian uint32 counts, any number per
-// body, rejecting ragged lengths.
-func TestServerBinaryIngest(t *testing.T) {
-	s, err := newServer(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.routes())
-	defer ts.Close()
-
-	body := []byte{0, 0, 0, 100, 0, 0, 1, 44} // 100 + 300
-	resp, err := http.Post(ts.URL+"/ingest.bin", "application/octet-stream", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/ingest.bin: status %d", resp.StatusCode)
-	}
-	if got := s.totalIngested.Load(); got != 400 {
-		t.Errorf("ingested %d, want 400", got)
-	}
-
-	resp, err = http.Post(ts.URL+"/ingest.bin", "application/octet-stream", strings.NewReader("abc"))
+// Two counts of MaxInt64 would sum to a negative total, on which the
+// pump panics ("negative arrival count").  A count past the wire plane's
+// uint32 bound must be a 400, and the process must keep serving and
+// drain with balanced books.
+func TestIngestCountOverflowRejected(t *testing.T) {
+	p := startWindowd(t, "-m", "10", "-km", "1", "-load", "0.9")
+	base := "http://" + p.addr
+	body := "{\"count\":9223372036854775807}\n{\"count\":9223372036854775807}\n"
+	resp, err := http.Post(base+"/ingest", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("ragged body: status %d, want 400", resp.StatusCode)
+		t.Errorf("overflowing body: status %d, want 400", resp.StatusCode)
 	}
+	resp, err = http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("/healthz after the overflowing body: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz: status %d, want 200", resp.StatusCode)
+	}
+	p.stop(t)
+}
 
-	s.beginDrain()
-	<-s.done
+// A SIGTERM that lands the moment the address is announced must drain,
+// not kill the process with the default signal disposition.
+func TestSigtermRightAfterListen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns 50 subprocesses")
+	}
+	for i := 0; i < 50; i++ {
+		startWindowd(t, "-listen-tcp", "127.0.0.1:0").stop(t)
+	}
 }
 
 // The acceptance criterion's statistical half: the live shed fraction at
@@ -400,7 +475,7 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(append(tc.args, "-listen", "127.0.0.1:0"), io.Discard, io.Discard, nil)
+			err := run(append(tc.args, "-listen", "127.0.0.1:0"), io.Discard, io.Discard)
 			if err == nil {
 				t.Fatal("run returned nil for invalid flags")
 			}
@@ -409,7 +484,7 @@ func TestRunFlagValidation(t *testing.T) {
 			}
 		})
 	}
-	if err := run([]string{"-h"}, io.Discard, io.Discard, nil); !errors.Is(err, flag.ErrHelp) {
+	if err := run([]string{"-h"}, io.Discard, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: want flag.ErrHelp, got %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -456,7 +455,6 @@ func (p *pumpState) publishFinished(err error) {
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("POST /ingest.bin", s.handleIngestBin)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /config", s.handleConfigGet)
@@ -499,7 +497,9 @@ func (s *server) accept(w http.ResponseWriter, n int64) {
 
 // handleIngest accepts newline-delimited JSON records, one batch per
 // line: {"count": N}.  An empty object (or omitted count) means one
-// message.  The whole body is booked atomically at the end.
+// message.  A count outside [0, 2^32-1] — the per-entry bound of the
+// wire plane — is a 400, which also keeps a 16 MiB body's total far
+// from int64 overflow.  The whole body is booked atomically at the end.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(io.LimitReader(r.Body, 16<<20))
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<10)
@@ -520,44 +520,14 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if rec.Count != nil {
 			n = *rec.Count
 		}
-		if n < 0 {
-			http.Error(w, fmt.Sprintf("negative count %d", n), http.StatusBadRequest)
+		if n < 0 || n > math.MaxUint32 {
+			http.Error(w, fmt.Sprintf("count %d outside [0, %d]", n, uint32(math.MaxUint32)), http.StatusBadRequest)
 			return
 		}
 		total += n
 	}
 	if err := sc.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.accept(w, total)
-}
-
-// handleIngestBin accepts the allocation-light wire format the load
-// generator uses: a body of big-endian uint32 batch counts (usually just
-// one), summed and booked in a single atomic add.
-func (s *server) handleIngestBin(w http.ResponseWriter, r *http.Request) {
-	var buf [4096]byte
-	var total int64
-	rem := 0
-	for {
-		n, err := r.Body.Read(buf[rem:])
-		n += rem
-		for i := 0; i+4 <= n; i += 4 {
-			total += int64(binary.BigEndian.Uint32(buf[i : i+4]))
-		}
-		rem = n % 4
-		copy(buf[:rem], buf[n-rem:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	if rem != 0 {
-		http.Error(w, "body length is not a multiple of 4", http.StatusBadRequest)
 		return
 	}
 	s.accept(w, total)

@@ -2,9 +2,9 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -266,7 +266,7 @@ func TestPprofFlag(t *testing.T) {
 }
 
 // TestHTTPvsTCPSaturation is the acceptance criterion: under identical
-// per-operation batching (one count of 64 per HTTP POST / per TCP
+// per-operation batching (one count of 64 per NDJSON POST / per TCP
 // frame), the binary plane must sustain at least 5× the HTTP-path
 // message rate over loopback, with both servers draining to zero owed
 // backlog and exact conservation afterwards.
@@ -307,22 +307,21 @@ func TestHTTPvsTCPSaturation(t *testing.T) {
 		}
 	}
 
-	// HTTP leg: one keep-alive connection, one 4-byte count per POST.
+	// HTTP leg: one keep-alive connection, one NDJSON record per POST.
 	httpRate := func() float64 {
 		s, base, _ := startTCPServer(t, o)
-		var body [4]byte
-		binary.BigEndian.PutUint32(body[:], batch)
+		body := []byte(fmt.Sprintf("{\"count\":%d}\n", batch))
 		client := &http.Client{}
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			resp, err := client.Post(base+"/ingest.bin", "application/octet-stream", bytes.NewReader(body[:]))
+			resp, err := client.Post(base+"/ingest", "application/x-ndjson", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("/ingest.bin: status %d", resp.StatusCode)
+				t.Fatalf("/ingest: status %d", resp.StatusCode)
 			}
 		}
 		elapsed := time.Since(start)

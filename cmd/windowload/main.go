@@ -17,9 +17,8 @@
 //
 // Two transports:
 //
-//   - http (default): counts ship on windowd's binary endpoint
-//     (/ingest.bin, one big-endian uint32 per tick), so the generator
-//     adds no parsing load to the system under test.
+//   - http (default): each tick's count ships as one NDJSON record,
+//     {"count":N}, posted to windowd's /ingest endpoint.
 //   - tcp: counts ship as internal/wire frames over -conns pipelined
 //     connections to the target's -listen-tcp plane (address
 //     autodiscovered from /config, or set with -tcp-target); per-tick
@@ -46,7 +45,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -54,6 +52,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"time"
 
 	"windowctl/internal/metrics"
@@ -221,19 +220,21 @@ type shipper interface {
 	finish() error
 }
 
-// httpShipper posts one batch count per tick on the binary ingest
-// endpoint, timing each request.
+// httpShipper posts one NDJSON record per tick, {"count":N}, on
+// windowd's /ingest endpoint, timing each request.
 type httpShipper struct {
 	client *http.Client
 	target string
 	lat    *stats.Histogram
+	line   []byte
 }
 
 func (h *httpShipper) ship(n int) (int64, error) {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], uint32(n))
+	h.line = append(h.line[:0], `{"count":`...)
+	h.line = strconv.AppendInt(h.line, int64(n), 10)
+	h.line = append(h.line, "}\n"...)
 	t0 := time.Now()
-	resp, err := h.client.Post(h.target+"/ingest.bin", "application/octet-stream", bytes.NewReader(buf[:]))
+	resp, err := h.client.Post(h.target+"/ingest", "application/x-ndjson", bytes.NewReader(h.line))
 	if err != nil {
 		return 0, err
 	}

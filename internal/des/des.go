@@ -7,17 +7,14 @@
 // (priority, insertion-order) sequence, so a simulation run is a pure
 // function of its seed.
 //
-// Two pending-event structures are available, selected at construction and
-// dispatching in exactly the same order (the tests drive both against
-// random schedules and demand identical pop sequences):
-//
-//   - a binary heap (New), O(log n) per operation — the general default;
-//   - a calendar queue (NewCalendar), O(1) amortized insert and extract for
-//     the slot-synchronous workloads the protocol engines generate, where
-//     event times advance in near-uniform slot increments.
+// Pending events live in a binary heap, O(log n) per operation.  The
+// protocol engines are slot-synchronous and keep only a handful of
+// events pending (next slot boundary, end of transmission), so the heap
+// is never their bottleneck.
 package des
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 )
@@ -38,7 +35,7 @@ type Event struct {
 	Fn func()
 
 	seq      uint64 // insertion order, final tie-break
-	index    int    // heap index, -1 when not queued (heap backend only)
+	index    int    // heap index, -1 when not queued
 	canceled bool
 }
 
@@ -56,84 +53,18 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the pending-event set.  Implementations must dispatch in
-// eventLess order.
-type eventQueue interface {
-	push(e *Event)
-	// next returns the earliest non-canceled event without removing it,
-	// physically discarding canceled events as they surface; nil when none
-	// remain.
-	next() *Event
-	// pop removes and returns the earliest non-canceled event; nil when
-	// none remain.
-	pop() *Event
-	// unlink removes a just-canceled event eagerly where the structure
-	// affords it; lazy implementations leave the canceled flag to pop/next.
-	unlink(e *Event)
-	// live counts queued non-canceled events.
-	live() int
-}
-
-// QueueKind selects the pending-event structure backing a Simulator.
-type QueueKind int
-
-const (
-	// QueueHeap is the binary-heap backend, O(log n) per operation.
-	QueueHeap QueueKind = iota
-	// QueueCalendar is the calendar-queue backend, O(1) amortized for
-	// slot-synchronous workloads (see NewCalendar).
-	QueueCalendar
-)
-
-// String implements fmt.Stringer.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueHeap:
-		return "heap"
-	case QueueCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", int(k))
-	}
-}
-
 // Simulator owns the clock and the pending-event set.
 type Simulator struct {
 	now        float64
-	q          eventQueue
+	events     eventHeap
 	seq        uint64
 	dispatched uint64
 	running    bool
 	free       []*Event // fired events awaiting reuse
 }
 
-// New returns an empty simulator with the clock at zero, backed by the
-// binary heap.
-func New() *Simulator {
-	return &Simulator{q: &heapQueue{}}
-}
-
-// NewCalendar returns an empty simulator backed by a calendar queue with
-// the given bucket width — use the workload's characteristic inter-event
-// gap (the slot time τ for the protocol engines).  It panics on a
-// non-positive or non-finite width.
-func NewCalendar(bucketWidth float64) *Simulator {
-	return &Simulator{q: newCalendarQueue(bucketWidth)}
-}
-
-// NewWithQueue returns an empty simulator backed by the selected queue
-// kind; bucketWidth parameterizes QueueCalendar and is ignored for
-// QueueHeap.
-func NewWithQueue(kind QueueKind, bucketWidth float64) *Simulator {
-	switch kind {
-	case QueueHeap:
-		return New()
-	case QueueCalendar:
-		return NewCalendar(bucketWidth)
-	default:
-		panic(fmt.Sprintf("des: unknown queue kind %d", kind))
-	}
-}
+// New returns an empty simulator with the clock at zero.
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulation time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -141,8 +72,9 @@ func (s *Simulator) Now() float64 { return s.now }
 // Dispatched returns the number of events executed so far.
 func (s *Simulator) Dispatched() uint64 { return s.dispatched }
 
-// Pending returns the number of queued (non-canceled) events.
-func (s *Simulator) Pending() int { return s.q.live() }
+// Pending returns the number of queued events.  Cancel removes an event
+// from the heap at once, so every queued event is live.
+func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule queues fn to run at the absolute time t with the given
 // priority.  Scheduling in the past panics — it always indicates a model
@@ -163,7 +95,7 @@ func (s *Simulator) Schedule(t float64, priority int, fn func()) *Event {
 		e = &Event{Time: t, Priority: priority, Fn: fn, seq: s.seq}
 	}
 	s.seq++
-	s.q.push(e)
+	heap.Push(&s.events, e)
 	return e
 }
 
@@ -172,7 +104,7 @@ func (s *Simulator) ScheduleAfter(delay float64, priority int, fn func()) *Event
 	return s.Schedule(s.now+delay, priority, fn)
 }
 
-// Cancel marks a queued event so it will not fire.  Canceling an already
+// Cancel removes a queued event so it will not fire.  Canceling an already
 // canceled event (or nil) is a no-op.  A fired event must not be passed:
 // the kernel has recycled it, so the pointer may identify a different,
 // still-queued event (see the Event doc).
@@ -181,16 +113,18 @@ func (s *Simulator) Cancel(e *Event) {
 		return
 	}
 	e.canceled = true
-	s.q.unlink(e)
+	if e.index >= 0 {
+		heap.Remove(&s.events, e.index)
+	}
 }
 
 // Step dispatches the single next event.  It returns false when no events
 // remain.
 func (s *Simulator) Step() bool {
-	e := s.q.pop()
-	if e == nil {
+	if len(s.events) == 0 {
 		return false
 	}
+	e := heap.Pop(&s.events).(*Event)
 	s.now = e.Time
 	s.dispatched++
 	// Recycle before dispatch: the callback typically schedules the
@@ -218,8 +152,7 @@ func (s *Simulator) RunUntil(tEnd float64) {
 	}
 	s.running = true
 	for s.running {
-		next := s.q.next()
-		if next == nil || next.Time > tEnd {
+		if len(s.events) == 0 || s.events[0].Time > tEnd {
 			break
 		}
 		s.Step()

@@ -81,6 +81,9 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.Schedule(1, 0, func() { fired = true })
 	s.Cancel(e)
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("Pending() = %d after cancel, want 0", n)
+	}
 	s.Run()
 	if fired {
 		t.Fatal("canceled event fired")
@@ -248,6 +251,22 @@ func TestDeterministicReplayProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSteadyStateNoAlloc checks the slot-synchronous hot loop — one
+// event per slot, each scheduling the next — runs allocation-free once
+// the freelist and the heap are warm.
+func TestSteadyStateNoAlloc(t *testing.T) {
+	s := New()
+	var slot func()
+	slot = func() { s.ScheduleAfter(1, 0, slot) }
+	s.Schedule(0, 0, slot)
+	for i := 0; i < 1000; i++ {
+		s.Step()
+	}
+	if avg := testing.AllocsPerRun(1000, func() { s.Step() }); avg != 0 {
+		t.Fatalf("steady-state Step allocates %v times per slot", avg)
 	}
 }
 

@@ -1,13 +1,7 @@
 package des
 
-import "container/heap"
-
-// heapQueue is the binary-heap event backend.  Cancellation removes
-// eagerly, so every queued event is live.
-type heapQueue struct {
-	events eventHeap
-}
-
+// eventHeap is the pending-event set, a container/heap ordered by
+// eventLess.  Each event tracks its index so Cancel can remove it.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int           { return len(h) }
@@ -30,39 +24,4 @@ func (h *eventHeap) Pop() any {
 	e.index = -1
 	*h = old[:n-1]
 	return e
-}
-
-func (q *heapQueue) push(e *Event) { heap.Push(&q.events, e) }
-
-func (q *heapQueue) next() *Event {
-	for len(q.events) > 0 && q.events[0].canceled {
-		heap.Pop(&q.events)
-	}
-	if len(q.events) == 0 {
-		return nil
-	}
-	return q.events[0]
-}
-
-func (q *heapQueue) pop() *Event {
-	if q.next() == nil {
-		return nil
-	}
-	return heap.Pop(&q.events).(*Event)
-}
-
-func (q *heapQueue) unlink(e *Event) {
-	if e.index >= 0 {
-		heap.Remove(&q.events, e.index)
-	}
-}
-
-func (q *heapQueue) live() int {
-	n := 0
-	for _, e := range q.events {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
 }

@@ -10,7 +10,6 @@ package sim
 import (
 	"testing"
 
-	"windowctl/internal/des"
 	"windowctl/internal/window"
 )
 
@@ -55,49 +54,39 @@ func TestGlobalStepZeroAlloc(t *testing.T) {
 // multi-station fast path: once the Bank's arrival heap, the pending
 // multiset and the resolver scratch have reached their working sizes, a
 // kernel step (one protocol slot, including the sampled lockstep check)
-// allocates nothing.  Run with both event-queue backends so the calendar
-// bucket rings are covered too.
+// allocates nothing.
 func TestMultiStepZeroAlloc(t *testing.T) {
-	for _, q := range []struct {
-		name string
-		kind des.QueueKind
-	}{
-		{"heap", des.QueueHeap},
-		{"calendar", des.QueueCalendar},
-	} {
-		t.Run(q.name, func(t *testing.T) {
-			cfg := MultiConfig{
-				Config:         allocConfig,
-				Stations:       64,
-				VerifyLockstep: true,
-				EventQueue:     q.kind,
+	t.Run("heap", func(t *testing.T) {
+		cfg := MultiConfig{
+			Config:         allocConfig,
+			Stations:       64,
+			VerifyLockstep: true,
+		}
+		m, err := newMultiState(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.kernel.Schedule(0, 0, m.slotFn)
+		for i := 0; i < 200000; i++ {
+			if !m.kernel.Step() {
+				t.Fatal("kernel drained during warmup")
 			}
-			m, err := newMultiState(cfg)
-			if err != nil {
-				t.Fatal(err)
+			if m.runErr != nil {
+				t.Fatal(m.runErr)
 			}
-			m.kernel.Schedule(0, 0, m.slotFn)
-			for i := 0; i < 200000; i++ {
-				if !m.kernel.Step() {
-					t.Fatal("kernel drained during warmup")
-				}
-				if m.runErr != nil {
-					t.Fatal(m.runErr)
-				}
+		}
+		avg := testing.AllocsPerRun(100000, func() {
+			if !m.kernel.Step() {
+				t.Fatal("kernel drained during measurement")
 			}
-			avg := testing.AllocsPerRun(100000, func() {
-				if !m.kernel.Step() {
-					t.Fatal("kernel drained during measurement")
-				}
-				if m.runErr != nil {
-					t.Fatal(m.runErr)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("steady-state multi slot allocates %v times per run; the decision-epoch hot path must be allocation-free", avg)
+			if m.runErr != nil {
+				t.Fatal(m.runErr)
 			}
 		})
-	}
+		if avg != 0 {
+			t.Fatalf("steady-state multi slot allocates %v times per run; the decision-epoch hot path must be allocation-free", avg)
+		}
+	})
 }
 
 // TestGlobalStepZeroAllocNoFastForward pins the probe-by-probe idle path

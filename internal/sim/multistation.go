@@ -44,11 +44,6 @@ type MultiConfig struct {
 	// per-station engine, the O(M) per-slot loops.  <= 0 means GOMAXPROCS.
 	// Reports are bit-identical at any value.
 	Workers int
-	// EventQueue selects the kernel's pending-event backend
-	// (des.QueueHeap, the zero value, or des.QueueCalendar with bucket
-	// width Tau).  Both dispatch in identical order, so reports do not
-	// depend on the choice.
-	EventQueue des.QueueKind
 
 	// forceDense routes the run through the per-station reference engine
 	// even when the shared fast path applies (test-only: the equivalence
@@ -149,9 +144,6 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 	if cfg.Stations < 1 {
 		return Report{}, fmt.Errorf("sim: need >= 1 station, got %d", cfg.Stations)
 	}
-	if cfg.EventQueue != des.QueueHeap && cfg.EventQueue != des.QueueCalendar {
-		return Report{}, fmt.Errorf("sim: unknown event queue kind %d", cfg.EventQueue)
-	}
 	// Per-station fault perception breaks the cross-station symmetry the
 	// shared fast path rests on; only that case needs the O(M)-per-slot
 	// reference engine.
@@ -170,7 +162,7 @@ func RunMultiStation(cfg MultiConfig) (Report, error) {
 func newMultiState(cfg MultiConfig) (*multiState, error) {
 	m := &multiState{
 		cfg:    cfg,
-		kernel: des.NewWithQueue(cfg.EventQueue, cfg.Tau),
+		kernel: des.New(),
 		ch:     channel.New(cfg.Tau, cfg.M*cfg.Tau),
 		col:    metrics.OrNop(cfg.Collector),
 		fo:     metrics.FaultObserverOrNop(cfg.Collector),

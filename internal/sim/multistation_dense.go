@@ -83,7 +83,7 @@ type denseState struct {
 func runMultiDense(cfg MultiConfig) (Report, error) {
 	m := &denseState{
 		cfg:    cfg,
-		kernel: des.NewWithQueue(cfg.EventQueue, cfg.Tau),
+		kernel: des.New(),
 		ch:     channel.New(cfg.Tau, cfg.M*cfg.Tau),
 		col:    metrics.OrNop(cfg.Collector),
 		fo:     metrics.FaultObserverOrNop(cfg.Collector),

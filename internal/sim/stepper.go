@@ -36,6 +36,7 @@ type Stepper struct {
 
 	checkpoint metrics.Checkpoint
 	checker    metrics.ConservationChecker
+	opened     bool // checkpoint taken
 	finished   bool
 	rep        Report
 }
@@ -54,9 +55,19 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stepper{g: g}
-	s.checkpoint, s.checker = conservationStart(cfg.Collector)
-	return s, nil
+	return &Stepper{g: g}, nil
+}
+
+// open checkpoints the collector on first use rather than at
+// construction: an engine built while another one still books into a
+// shared collector (windowd's /config swap finishes the outgoing engine
+// after building the incoming one) must not count those final bookings
+// as its own.
+func (s *Stepper) open() {
+	if !s.opened {
+		s.opened = true
+		s.checkpoint, s.checker = conservationStart(s.g.cfg.Collector)
+	}
 }
 
 // ErrHorizon is returned by Step once the clock has reached a finite
@@ -88,6 +99,7 @@ func (s *Stepper) Step() error {
 	if s.g.now >= s.g.cfg.EndTime {
 		return ErrHorizon
 	}
+	s.open()
 	s.materialize()
 	return s.g.step()
 }
@@ -150,6 +162,7 @@ func (s *Stepper) Backlog() int { return s.g.pending.Len() + s.queued }
 // Step.  It returns nil when the configuration has no conservation-
 // checking collector.
 func (s *Stepper) CheckNow() error {
+	s.open()
 	if s.checker == nil {
 		return nil
 	}
@@ -165,6 +178,7 @@ func (s *Stepper) Finish() (Report, error) {
 		return s.rep, nil
 	}
 	s.finished = true
+	s.open()
 	s.materialize()
 	s.g.finishAt(s.g.now)
 	s.rep = s.g.rep
