@@ -9,14 +9,13 @@
 // (-listen-tcp), decoded straight into the owed-arrival ledger an order
 // of magnitude past the HTTP path — or generated internally with
 // -synthetic.  A single pump goroutine owns the incremental engine
-// (sim.Stepper): each iteration it absorbs the ingest counter, advances
-// one decision epoch of virtual channel time, and releases absorbed
-// arrivals into the engine at the configured rate λ′ = ρ′/(M·τ), so
-// under saturation the materialized arrival process is Poisson(λ′) in
-// channel time — the same law the batch simulator draws, which is what
-// makes the live shed fraction comparable to the batch element-(4)
-// discard rate.  The ingest→schedule hot path is allocation-free at
-// steady state.
+// (sim.Stepper): each iteration it advances one decision epoch of
+// virtual channel time and releases owed arrivals into the engine at the
+// configured rate λ′ = ρ′/(M·τ), so under saturation the materialized
+// arrival process is Poisson(λ′) in channel time — the same law the
+// batch simulator draws, which is what makes the live shed fraction
+// comparable to the batch element-(4) discard rate.  The ingest→schedule
+// hot path is allocation-free at steady state.
 //
 // Observability: /debug/vars exposes the shared slot-level collector
 // ("windowd") and the pump status ("windowd_engine") as expvar JSON;
@@ -170,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if fin == nil {
 		return fmt.Errorf("pump exited without a final report")
 	}
-	fmt.Fprintf(stdout, "windowd: drained (ingested %d): %s\n", s.totalIngested.Load(), fin.rep.String())
+	fmt.Fprintf(stdout, "windowd: drained (ingested %d): %s\n", s.ingestedTotal(), fin.rep.String())
 	fmt.Fprintf(stdout, "%s", s.shared.Format())
 	if fin.err != nil {
 		return fin.err

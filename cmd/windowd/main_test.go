@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -329,13 +330,13 @@ func TestReconfigureCarriesBacklog(t *testing.T) {
 	}
 }
 
-// drain must keep re-absorbing the ingest counter: a request that passes
+// drain must keep reading the owed ledger: a request that passes
 // accept()'s draining check just as beginDrain fires books messages after
 // drain has begun, and they must still be scheduled, not stranded.
 func TestDrainAbsorbsLateIngest(t *testing.T) {
 	o := testOptions()
 	srv, p := barePump(t, o)
-	srv.ingested.Add(37) // booked by an accept() racing beginDrain
+	srv.owed.Add(37) // booked by an accept() racing beginDrain
 	p.drain()
 	fin := srv.final.Load()
 	if fin == nil || fin.err != nil {
@@ -348,6 +349,36 @@ func TestDrainAbsorbsLateIngest(t *testing.T) {
 	if snap.Transmissions+snap.Discards != 37 {
 		t.Errorf("late-booked messages stranded: tx %d + shed %d != 37",
 			snap.Transmissions, snap.Discards)
+	}
+}
+
+// A drain that times out with 10⁹ still owed must finish in bounded
+// memory with the books balancing: the owed messages reach Finish as one
+// count, booked as censored residents, not as 10⁹ stamps.
+func TestDrainTimeoutBoundedMemory(t *testing.T) {
+	o := testOptions()
+	o.drainTimeout = time.Millisecond
+	srv, p := barePump(t, o)
+	const owed = 1_000_000_000
+	srv.owed.Add(owed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.drain()
+	runtime.ReadMemStats(&after)
+	fin := srv.final.Load()
+	if fin == nil || fin.err != nil {
+		t.Fatalf("drain: %+v", fin)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("drain with %d owed allocated %d MB, want < 16 MB", owed, grew>>20)
+	}
+	snap := srv.shared.Snapshot()
+	if resident := int64(fin.rep.EndBacklog); snap.Arrivals != owed || snap.Transmissions+snap.Discards+resident != owed {
+		t.Errorf("books: arrivals %d, tx %d + shed %d + resident %d, want %d",
+			snap.Arrivals, snap.Transmissions, snap.Discards, resident, owed)
+	}
+	if st := srv.status.Load(); srv.owed.Load() != 0 || st == nil || st.OwedArrivals != 0 {
+		t.Errorf("owed ledger %d after drain, published %+v", srv.owed.Load(), st)
 	}
 }
 
@@ -402,6 +433,40 @@ func TestIngestCountOverflowRejected(t *testing.T) {
 		t.Errorf("/healthz: status %d, want 200", resp.StatusCode)
 	}
 	p.stop(t)
+}
+
+// One /config POST could crash windowd: validate accepted a load of
+// 1e300 (or an M of 1e-300), so the pump's Poisson(λ′·elapsed) release
+// overflowed int and the next ingested message drove the owed ledger
+// negative ("sim: negative arrival count").  Each must be a 400, and the
+// process must keep serving and drain with balanced books.
+func TestConfigLoadOverflowRejected(t *testing.T) {
+	for _, body := range []string{`{"load":1e300}`, `{"m":1e-300}`} {
+		t.Run(body, func(t *testing.T) {
+			p := startWindowd(t, "-m", "10", "-km", "1", "-load", "0.9")
+			base := "http://" + p.addr
+			resp, err := http.Post(base+"/config", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("/config %s: status %d, want 400", body, resp.StatusCode)
+			}
+			postNDJSON(t, base, "{}\n")
+			resp, err = http.Get(base + "/healthz")
+			if err != nil {
+				t.Fatalf("/healthz after /config %s: %v", body, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("/healthz: status %d, want 200", resp.StatusCode)
+			}
+			p.stop(t)
+		})
+	}
 }
 
 // A SIGTERM that lands the moment the address is announced must drain,
@@ -472,6 +537,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"positional junk", []string{"extra"}},
 		{"bad drain timeout", []string{"-drain-timeout", "-1s"}},
 		{"inf k", []string{"-k", "1e300"}},
+		{"inf load", []string{"-load", "+Inf"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -60,14 +61,19 @@ func (o options) validate() error {
 	if !(o.tau > 0) || !(o.m > 0) {
 		return fmt.Errorf("need positive -tau and -m (got %v, %v)", o.tau, o.m)
 	}
-	if !(o.load > 0) {
-		return fmt.Errorf("need positive -load (got %v)", o.load)
+	// The pump's Poisson(λ′·elapsed) release, of mean ρ′/M per slot, wraps
+	// negative past int range.  10³ is 500× the benchmark's overload point
+	// ρ′ = 2 (the paper runs ρ′ ≤ 0.75) and keeps every draw inside int.
+	if !(o.load > 0) || o.load > 1e3 || o.load/o.m > 1e3 {
+		return fmt.Errorf("need 0 < -load <= 1000 and -load/-m <= 1000 (got %v, %v)", o.load, o.m)
 	}
 	if c := o.constraint(); !(c > 0) || c > 1e15 {
 		return fmt.Errorf("need a positive finite constraint (-k/-km give %v)", c)
 	}
-	if o.g < 0 {
-		return fmt.Errorf("-g must be >= 0, got %v", o.g)
+	// Far below the optimum G* ≈ 1.09 the initial window g/λ′ rounds to
+	// empty against the clock and the engine stops with an error.
+	if o.g != 0 && !(o.g >= 1e-3) {
+		return fmt.Errorf("-g must be 0 or >= 0.001, got %v", o.g)
 	}
 	if o.maxBacklog < 0 {
 		return fmt.Errorf("-max-backlog must be >= 0, got %d", o.maxBacklog)
@@ -149,17 +155,15 @@ type ctrlMsg struct {
 
 // server owns the engine pump and the HTTP surface.  All engine access
 // happens on the single pump goroutine; handlers communicate through the
-// ingested counter, the notify channel and the ctrl channel.
+// owed-arrival ledger, the notify channel and the ctrl channel.
 type server struct {
 	shared *metrics.Shared
 
-	ingested      atomic.Int64 // accepted by handlers, not yet absorbed
-	totalIngested atomic.Int64
-	ingestedHTTP  atomic.Int64 // per-transport slices of totalIngested
-	ingestedTCP   atomic.Int64
-	tcpFrames     atomic.Int64 // counts frames absorbed by the TCP plane
-	tcpConns      atomic.Int64 // open TCP ingest connections (gauge)
-	owedGauge     atomic.Int64 // pump's owed ledger, refreshed every iteration
+	owed         atomic.Int64 // booked, not yet released; only the pump subtracts
+	ingestedHTTP atomic.Int64 // booked per transport, cumulative
+	ingestedTCP  atomic.Int64
+	tcpFrames    atomic.Int64 // counts frames booked by the TCP plane
+	tcpConns     atomic.Int64 // open TCP ingest connections (gauge)
 
 	tcp     *tcpPlane // nil when -listen-tcp is off
 	maxOwed int64
@@ -220,7 +224,7 @@ func newServer(o options) (*server, error) {
 	}
 	if err := metrics.PublishVar("windowd_ingest", expvar.Func(func() any {
 		return map[string]int64{
-			"total":  s.totalIngested.Load(),
+			"total":  s.ingestedTotal(),
 			"http":   s.ingestedHTTP.Load(),
 			"tcp":    s.ingestedTCP.Load(),
 			"frames": s.tcpFrames.Load(),
@@ -233,6 +237,9 @@ func newServer(o options) (*server, error) {
 	go s.pump(st, o, est)
 	return s, nil
 }
+
+// ingestedTotal is the cumulative count booked over both transports.
+func (s *server) ingestedTotal() int64 { return s.ingestedHTTP.Load() + s.ingestedTCP.Load() }
 
 // currentOpts returns the configuration in effect (the pump updates it on
 // reconfiguration).
@@ -263,8 +270,8 @@ func (s *server) beginDrain() {
 	})
 }
 
-// pumpState is the pump goroutine's working set: the engine, the release
-// RNG and the owed-arrival ledger.
+// pumpState is the pump goroutine's working set: the engine and the
+// release RNG.
 type pumpState struct {
 	s     *server
 	st    *sim.Stepper
@@ -272,16 +279,15 @@ type pumpState struct {
 	lam   float64
 	est   *window.RateEstimator
 	rel   *rngutil.Stream
-	owed  int64
 	steps uint64
 }
 
-// pump is the single goroutine owning the engine.  Each iteration absorbs
-// the ingest counter, advances one decision epoch, and releases absorbed
-// arrivals into the engine at the configured virtual rate λ′ — so under
-// saturation the materialized arrival process is Poisson(λ′) in channel
-// time, matching the batch simulator's arrival law, while the owed ledger
-// (a plain integer) absorbs any wall-clock burst without allocating.
+// pump is the single goroutine owning the engine.  Each iteration
+// advances one decision epoch and releases owed arrivals into the engine
+// at the configured virtual rate λ′ — so under saturation the
+// materialized arrival process is Poisson(λ′) in channel time, matching
+// the batch simulator's arrival law, while the owed ledger (one integer)
+// absorbs any wall-clock burst without allocating.
 func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 	defer close(s.done)
 	p := &pumpState{
@@ -301,9 +307,7 @@ func (s *server) pump(st *sim.Stepper, o options, est *window.RateEstimator) {
 			return
 		default:
 		}
-		p.owed += s.ingested.Swap(0)
-		s.owedGauge.Store(p.owed)
-		if !p.o.synthetic && p.owed == 0 && p.st.Backlog() == 0 {
+		if !p.o.synthetic && s.owed.Load() == 0 && p.st.Backlog() == 0 {
 			// Idle: nothing to schedule and nothing owed.  Freeze virtual
 			// time and park until an ingest, reconfiguration or drain.
 			p.publish(p.st.CheckNow())
@@ -338,10 +342,8 @@ func (p *pumpState) advance() error {
 	elapsed := p.st.Now() - before
 	n := int64(p.rel.Poisson(p.lam * elapsed))
 	if !p.o.synthetic {
-		if n > p.owed {
-			n = p.owed
-		}
-		p.owed -= n
+		n = min(n, p.s.owed.Load())
+		p.s.owed.Add(-n)
 	}
 	p.st.Inject(int(n))
 	p.steps++
@@ -361,16 +363,14 @@ func (p *pumpState) advance() error {
 func (p *pumpState) reconfigure(m ctrlMsg) {
 	st, est, err := m.opts.engine(p.s.shared)
 	if err != nil {
-		m.reply <- err
+		m.reply <- usageError{err} // e.g. an unknown protocol: the request's fault
 		return
 	}
 	carry := p.st.Backlog()
-	if _, err := p.st.Finish(); err != nil {
+	if _, err = p.st.Finish(); err != nil {
 		// The outgoing engine's books do not balance: surface it to the
 		// caller and keep serving with the fresh engine.
-		m.reply <- fmt.Errorf("finishing previous engine: %w", err)
-	} else {
-		m.reply <- nil
+		err = fmt.Errorf("finishing previous engine: %w", err)
 	}
 	p.st, p.est, p.o, p.lam = st, est, m.opts, m.opts.lambda()
 	if carry > 0 {
@@ -378,12 +378,13 @@ func (p *pumpState) reconfigure(m ctrlMsg) {
 	}
 	p.s.setOpts(m.opts)
 	p.publish(nil)
+	m.reply <- err // last: the handler then echoes the new configuration
 }
 
-// drain runs the engine dry: absorb the last ingested arrivals, release
-// and schedule until nothing is pending (or the drain timeout expires),
-// then finish — classifying any stranded residents — and verify the
-// conservation invariants one final time.
+// drain runs the engine dry: release and schedule until nothing is owed
+// and nothing is pending (or the drain timeout expires), then finish —
+// classifying any stranded residents — and verify the conservation
+// invariants one final time.
 func (p *pumpState) drain() {
 	// The TCP readers were cut off by beginDrain; wait (bounded) for them
 	// to finish so every frame acknowledged before the cut is booked
@@ -391,16 +392,7 @@ func (p *pumpState) drain() {
 	p.s.shutdownTCP(2 * time.Second)
 	deadline := time.Now().Add(p.o.drainTimeout)
 	p.o.synthetic = false // stop generating; only owed messages remain
-	for time.Now().Before(deadline) {
-		// Re-absorb the counter every iteration: a request that passed
-		// accept()'s draining check just as beginDrain fired may add to
-		// ingested after drain has started, and a single up-front Swap
-		// would strand those acknowledged messages unscheduled.
-		p.owed += p.s.ingested.Swap(0)
-		p.s.owedGauge.Store(p.owed)
-		if p.owed == 0 && p.st.Backlog() == 0 {
-			break
-		}
+	for time.Now().Before(deadline) && (p.s.owed.Load() > 0 || p.st.Backlog() > 0) {
 		if err := p.advance(); err != nil {
 			p.fail(err)
 			return
@@ -409,14 +401,9 @@ func (p *pumpState) drain() {
 			p.publish(nil)
 		}
 	}
-	if p.owed += p.s.ingested.Swap(0); p.owed > 0 {
-		// Timeout (or a last racing accept) with messages still owed:
-		// materialize them so the books balance; Finish classifies them
-		// as censored residents.
-		p.st.Inject(int(p.owed))
-		p.owed = 0
-	}
-	p.s.owedGauge.Store(0)
+	// On timeout the messages still owed go in as one count, which
+	// Finish books as censored residents without stamping them.
+	p.st.Inject(int(p.s.owed.Swap(0)))
 	rep, err := p.st.Finish()
 	p.s.final.Store(&finalResult{rep: rep, err: err})
 	p.publishFinished(err)
@@ -431,7 +418,7 @@ func (p *pumpState) fail(err error) {
 func (p *pumpState) publish(conservation error) {
 	st := &engineStatus{
 		Protocol: p.o.protocol, RhoPrime: p.o.load, Lambda: p.lam, K: p.o.constraint(),
-		VirtualNow: p.st.Now(), Backlog: p.st.Backlog(), OwedArrivals: p.owed,
+		VirtualNow: p.st.Now(), Backlog: p.st.Backlog(), OwedArrivals: p.s.owed.Load(),
 		Steps: p.steps, Conservation: "ok", Draining: p.s.draining.Load(),
 	}
 	if p.est != nil {
@@ -440,8 +427,7 @@ func (p *pumpState) publish(conservation error) {
 	if conservation != nil {
 		st.Conservation = conservation.Error()
 	}
-	s := p.s
-	s.status.Store(st)
+	p.s.status.Store(st)
 }
 
 func (p *pumpState) publishFinished(err error) {
@@ -475,8 +461,7 @@ func (s *server) routes() http.Handler {
 // wakes the pump.  It is the single booking point shared by the HTTP
 // handlers and the TCP readers — one atomic add per batch, no locks.
 func (s *server) book(n int64, transport *atomic.Int64) {
-	s.ingested.Add(n)
-	s.totalIngested.Add(n)
+	s.owed.Add(n)
 	transport.Add(n)
 	select {
 	case s.notify <- struct{}{}:
@@ -567,7 +552,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	line("windowd_arrivals_total", snap.Arrivals)
-	line("windowd_ingested_total", s.totalIngested.Load())
+	line("windowd_ingested_total", s.ingestedTotal())
 	fmt.Fprintf(w, "windowd_ingested_total{transport=\"http\"} %d\n", s.ingestedHTTP.Load())
 	fmt.Fprintf(w, "windowd_ingested_total{transport=\"tcp\"} %d\n", s.ingestedTCP.Load())
 	line("windowd_ingest_frames_total", s.tcpFrames.Load())
@@ -698,7 +683,11 @@ func (s *server) handleConfigPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := <-m.reply; err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.As(err, new(usageError)) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	s.handleConfigGet(w, r)

@@ -13,8 +13,8 @@ import (
 // goroutine per connection, frames decoded straight into the owed-
 // arrival ledger.  There are no channel hops and no per-message locks —
 // a decoded counts frame becomes one atomic add, the same booking an
-// HTTP 202 performs, so everything downstream (pump absorption, release
-// law, drain accounting) is transport-agnostic.
+// HTTP 202 performs, so everything downstream (release law, drain
+// accounting) is transport-agnostic.
 type tcpPlane struct {
 	s  *server
 	ln net.Listener
@@ -92,7 +92,7 @@ func (t *tcpPlane) close() {
 
 // shutdownTCP closes the plane and waits (bounded) for the reader
 // goroutines to finish, so the pump's final drain accounting runs after
-// the last in-flight frame has been absorbed.  No-op without a plane.
+// the last in-flight frame has been booked.  No-op without a plane.
 func (s *server) shutdownTCP(timeout time.Duration) {
 	if s.tcp == nil {
 		return
@@ -111,8 +111,8 @@ func (s *server) shutdownTCP(timeout time.Duration) {
 // booked with one atomic add, an ack every wire.AckEvery frames and a
 // final ack at half-close.  Frames arriving once the server is draining
 // or past its owed-arrival bound are answered with an overloaded frame
-// — NOT absorbed — and the connection closes; everything acknowledged
-// before that point is absorbed-then-verified exactly like an HTTP 202.
+// — NOT booked — and the connection closes; everything acknowledged
+// before that point is booked-then-verified exactly like an HTTP 202.
 func (t *tcpPlane) handle(conn net.Conn) {
 	defer t.wg.Done()
 	defer t.unregister(conn)
@@ -156,13 +156,8 @@ func (t *tcpPlane) handle(conn net.Conn) {
 	}
 }
 
-// tcpOverloaded reports whether the owed-arrival backlog exceeds the
-// configured bound.  The estimate sums the un-absorbed ingest counter
-// (exact) and the pump's owed ledger gauge (refreshed every pump
-// iteration), so detection lags true overload by at most one epoch.
+// tcpOverloaded reports whether the owed-arrival ledger exceeds the
+// configured bound.
 func (s *server) tcpOverloaded() bool {
-	if s.maxOwed <= 0 {
-		return false
-	}
-	return s.ingested.Load()+s.owedGauge.Load() > s.maxOwed
+	return s.maxOwed > 0 && s.owed.Load() > s.maxOwed
 }

@@ -22,8 +22,8 @@ import (
 //
 // A Stepper is not safe for concurrent use; the intended shape is one
 // pump goroutine owning the Stepper, with other goroutines handing it
-// counts through their own synchronization (windowd uses an atomic
-// counter drained once per Step).
+// counts through their own synchronization (windowd's pump releases from
+// an atomic owed-arrival ledger once per Step).
 type Stepper struct {
 	g *globalState
 
@@ -122,10 +122,7 @@ func (s *Stepper) materialize() {
 	}
 	s.queued = 0
 	g := s.g
-	lo := g.now - g.cfg.Tau
-	if lo < s.lastStamp {
-		lo = s.lastStamp
-	}
+	lo := max(s.lastStamp, g.now-g.cfg.Tau)
 	width := g.cfg.Tau / float64(n)
 	for i := 0; i < n; i++ {
 		stamp := lo + (float64(i)+g.rng.Float64Open())*width
@@ -179,15 +176,33 @@ func (s *Stepper) Finish() (Report, error) {
 	}
 	s.finished = true
 	s.open()
-	s.materialize()
+	s.bookQueued()
 	s.g.finishAt(s.g.now)
+	s.g.rep.EndBacklog += s.queued
 	s.rep = s.g.rep
 	if s.checker != nil {
-		if err := s.checker.CheckConservation(s.checkpoint, int64(s.g.pending.Len()), s.g.now); err != nil {
+		if err := s.checker.CheckConservation(s.checkpoint, int64(s.Backlog()), s.g.now); err != nil {
 			return s.rep, fmt.Errorf("sim: %w", err)
 		}
 	}
 	return s.rep, nil
+}
+
+// bookQueued books the arrivals queued at Finish as censored residents
+// in O(1), leaving them in queued, when materialize would stamp them all
+// at or above a lo past the warmup with now−lo ≤ K: all measured and
+// censored.  Otherwise (K < τ, or a clock near the warmup) it stamps them.
+func (s *Stepper) bookQueued() {
+	g, n := s.g, s.queued
+	lo := max(s.lastStamp, g.now-g.cfg.Tau)
+	if n == 0 || lo < g.cfg.Warmup || g.now-lo > g.cfg.K {
+		s.materialize()
+		return
+	}
+	g.rep.Offered += int64(n)
+	g.rep.Censored += int64(n) // finishAt hands the total to the collector
+	g.col.RecordArrivals(int64(n))
+	g.rep.MaxBacklog = max(g.rep.MaxBacklog, g.pending.Len()+n)
 }
 
 // Report returns the finalized report; it is only meaningful after

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"windowctl/internal/metrics"
@@ -255,5 +257,76 @@ func TestStepperBurstInjection(t *testing.T) {
 	}
 	if rep.Transmissions == 0 && rep.LostSender == 0 {
 		t.Error("burst produced no protocol activity")
+	}
+}
+
+// A windowd drain that times out hands its still-owed messages to Finish
+// as one queued count.  Finish must book them as censored residents
+// without stamping each into the pending queue (10⁷ stamps cost ~470 MB
+// and a second), with the books balancing.
+func TestStepperFinishQueuedBoundedMemory(t *testing.T) {
+	cfg := stepperConfig()
+	col := metrics.NewSlotMetrics(cfg.Tau, 200)
+	cfg.Collector = col
+	s, err := NewStepper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Inject(n)
+	rep, err := s.Finish()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("Finish with %d queued allocated %d MB, want < 16 MB", n, grew>>20)
+	}
+	if rep.Offered != n || rep.Censored != n || rep.EndBacklog != n || rep.MaxBacklog != n {
+		t.Errorf("report: offered %d censored %d end backlog %d max backlog %d, want %d each",
+			rep.Offered, rep.Censored, rep.EndBacklog, rep.MaxBacklog, n)
+	}
+	if col.Arrivals != n || col.PendingCensored != n || s.Backlog() != n {
+		t.Errorf("collector arrivals %d censored %d, backlog %d, want %d each",
+			col.Arrivals, col.PendingCensored, s.Backlog(), n)
+	}
+}
+
+// Booking the queued count at Finish must leave the report and the
+// collector exactly as stamping every queued arrival would, including
+// when K < τ, where stamps can land on either side of K and are still
+// materialized.
+func TestStepperFinishQueuedMatchesMaterialize(t *testing.T) {
+	for _, k := range []float64{100, 0.5} {
+		finish := func(stamp bool) (Report, *metrics.SlotMetrics) {
+			cfg := stepperConfig()
+			cfg.K = k
+			col := metrics.NewSlotMetrics(cfg.Tau, 200)
+			cfg.Collector = col
+			s, err := NewStepper(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drive(t, s, cfg.Lambda, 5000, 3)
+			s.Inject(1000)
+			if stamp {
+				s.materialize()
+			}
+			rep, err := s.Finish()
+			if err != nil {
+				t.Fatalf("K=%v: Finish: %v", k, err)
+			}
+			return rep, col
+		}
+		counted, countedCol := finish(false)
+		stamped, stampedCol := finish(true)
+		if !reflect.DeepEqual(counted, stamped) {
+			t.Errorf("K=%v: report\n%+v\nwant the materialized\n%+v", k, counted, stamped)
+		}
+		if !reflect.DeepEqual(countedCol, stampedCol) {
+			t.Errorf("K=%v: collector\n%+v\nwant the materialized\n%+v", k, countedCol, stampedCol)
+		}
 	}
 }
